@@ -7,21 +7,48 @@
 
 namespace wisc {
 
-const Memory::Page *
-Memory::find(Addr a) const
+Memory::Memory(Memory &&o) noexcept : pages_(std::move(o.pages_))
 {
-    auto it = pages_.find(a >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.get();
+    o.hotPage_ = nullptr;
+}
+
+Memory &
+Memory::operator=(Memory &&o) noexcept
+{
+    pages_ = std::move(o.pages_);
+    hotPage_ = nullptr;
+    o.hotPage_ = nullptr;
+    return *this;
+}
+
+void
+Memory::clear()
+{
+    pages_.clear();
+    hotPage_ = nullptr;
+}
+
+const Memory::Page *
+Memory::findSlow(Addr idx) const
+{
+    auto it = pages_.find(idx);
+    if (it == pages_.end())
+        return nullptr; // misses are not cached: the page may appear
+    hotPage_ = it->second.get();
+    hotIdx_ = idx;
+    return hotPage_;
 }
 
 Memory::Page &
-Memory::findOrCreate(Addr a)
+Memory::findOrCreateSlow(Addr idx)
 {
-    auto &slot = pages_[a >> kPageBits];
+    auto &slot = pages_[idx];
     if (!slot) {
         slot = std::make_unique<Page>();
         slot->fill(0);
     }
+    hotPage_ = slot.get();
+    hotIdx_ = idx;
     return *slot;
 }
 
@@ -41,7 +68,7 @@ Memory::writeByte(Addr a, std::uint8_t v)
 UWord
 Memory::readWord(Addr a) const
 {
-    // Fast path: the word lies within one page, so a single map lookup
+    // Fast path: the word lies within one page, so a single page lookup
     // serves all eight bytes (the byte loop over a contiguous buffer
     // compiles to one unaligned load). Both functional engines and the
     // timing core's execute-at-fetch path hit this on every Ld.
@@ -114,7 +141,7 @@ Memory::saveState(ByteWriter &w) const
 void
 Memory::restoreState(ByteReader &r)
 {
-    pages_.clear();
+    clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr idx = r.u64();
@@ -139,6 +166,7 @@ ArchState::reset()
 {
     regs_.fill(0);
     preds_.fill(false);
+    mem_.clear();
     // A convenient default stack pointer, far from code and data.
     regs_[kRegSp] = 0x7ff00000;
 }
@@ -176,30 +204,26 @@ ArchState::restoreState(ByteReader &r)
 }
 
 void
-UndoLog::recordReg(RegIdx r, Word old)
+UndoLog::grow()
 {
-    entries_.push_back({Kind::Reg, r, 0, static_cast<UWord>(old)});
-}
-
-void
-UndoLog::recordPred(PredIdx p, bool old)
-{
-    entries_.push_back({Kind::Pred, p, 0, old ? 1u : 0u});
-}
-
-void
-UndoLog::recordMem(Addr a, std::uint8_t size, UWord old)
-{
-    entries_.push_back({Kind::Mem, size, a, old});
+    const std::size_t cap =
+        ring_.empty() ? kInitialCapacity : 2 * ring_.size();
+    std::vector<Entry> bigger(cap);
+    const std::size_t newMask = cap - 1;
+    for (Mark m = base_; m < top_; ++m)
+        bigger[static_cast<std::size_t>(m) & newMask] =
+            ring_[static_cast<std::size_t>(m) & mask_];
+    ring_.swap(bigger);
+    mask_ = newMask;
 }
 
 void
 UndoLog::rollbackTo(Mark m, ArchState &state)
 {
     wisc_assert(m >= base_, "rolling back committed state");
-    wisc_assert(m <= mark(), "bad undo mark");
-    while (mark() > m) {
-        const Entry &e = entries_.back();
+    wisc_assert(m <= top_, "bad undo mark");
+    while (top_ > m) {
+        const Entry &e = ring_[static_cast<std::size_t>(top_ - 1) & mask_];
         switch (e.kind) {
           case Kind::Reg:
             state.writeReg(e.idxOrSize, static_cast<Word>(e.old));
@@ -215,17 +239,7 @@ UndoLog::rollbackTo(Mark m, ArchState &state)
                 state.mem().writeWord(e.addr, e.old);
             break;
         }
-        entries_.pop_back();
-    }
-}
-
-void
-UndoLog::commitTo(Mark m)
-{
-    wisc_assert(m <= mark(), "bad commit mark");
-    while (base_ < m) {
-        entries_.pop_front();
-        ++base_;
+        --top_;
     }
 }
 

@@ -13,23 +13,34 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/bytes.hh"
+#include "common/log.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 
 namespace wisc {
 
-/** Sparse paged memory; unwritten bytes read as zero. */
+/**
+ * Sparse paged memory; unwritten bytes read as zero.
+ *
+ * A one-entry hot-page cache sits in front of the page map: loads and
+ * stores cluster on a few pages, so most accesses skip the map lookup.
+ * It only ever names a page the map owns, and is dropped whenever the
+ * map is replaced (clear(), restoreState(), moves).
+ */
 class Memory
 {
   public:
     static constexpr Addr kPageBits = 12;
     static constexpr Addr kPageSize = Addr(1) << kPageBits;
+
+    Memory() = default;
+    Memory(Memory &&o) noexcept;
+    Memory &operator=(Memory &&o) noexcept;
 
     std::uint8_t readByte(Addr a) const;
     void writeByte(Addr a, std::uint8_t v);
@@ -55,13 +66,41 @@ class Memory
     /** Replace the entire contents with a saved image. */
     void restoreState(ByteReader &r);
 
+    /** Drop every page: all of memory reads as zero again. */
+    void clear();
+
+    /** Whether the hot-page cache currently names a page (lets tests
+     *  check its invalidation points). */
+    bool hotPageValid() const { return hotPage_ != nullptr; }
+
   private:
     using Page = std::array<std::uint8_t, kPageSize>;
 
-    const Page *find(Addr a) const;
-    Page &findOrCreate(Addr a);
+    const Page *
+    find(Addr a) const
+    {
+        const Addr idx = a >> kPageBits;
+        if (hotPage_ && idx == hotIdx_)
+            return hotPage_;
+        return findSlow(idx);
+    }
+
+    Page &
+    findOrCreate(Addr a)
+    {
+        const Addr idx = a >> kPageBits;
+        if (hotPage_ && idx == hotIdx_)
+            return *hotPage_;
+        return findOrCreateSlow(idx);
+    }
+
+    const Page *findSlow(Addr idx) const;
+    Page &findOrCreateSlow(Addr idx);
 
     std::map<Addr, std::unique_ptr<Page>> pages_;
+    /** Hot-page cache: the last page found, owned by pages_. */
+    mutable Page *hotPage_ = nullptr;
+    mutable Addr hotIdx_ = 0;
 };
 
 /** Full architectural state. */
@@ -116,7 +155,13 @@ class ArchState
 
 /**
  * Log of architectural side effects, enabling precise rollback of
- * speculatively executed instructions. Entries are popped in LIFO order.
+ * speculatively executed instructions. Entries are popped in LIFO order
+ * (rollback) or dropped oldest-first (commit).
+ *
+ * Storage is a power-of-two ring indexed by absolute position, so marks
+ * never move and commit is a pointer bump. The ring doubles only when
+ * every slot holds a live entry; once it has grown to the machine's
+ * in-flight window, recording never allocates.
  */
 class UndoLog
 {
@@ -125,20 +170,43 @@ class UndoLog
      *  some point in time. Remains valid across commits. */
     using Mark = std::uint64_t;
 
-    Mark mark() const { return base_ + entries_.size(); }
+    Mark mark() const { return top_; }
 
-    void recordReg(RegIdx r, Word old);
-    void recordPred(PredIdx p, bool old);
-    void recordMem(Addr a, std::uint8_t size, UWord old);
+    void
+    recordReg(RegIdx r, Word old)
+    {
+        push(Kind::Reg, r, 0, static_cast<UWord>(old));
+    }
+
+    void recordPred(PredIdx p, bool old) { push(Kind::Pred, p, 0, old); }
+
+    void
+    recordMem(Addr a, std::uint8_t size, UWord old)
+    {
+        push(Kind::Mem, size, a, old);
+    }
 
     /** Undo every effect recorded after the mark. */
     void rollbackTo(Mark m, ArchState &state);
 
     /** Drop entries older than the mark (they can no longer be undone).
      *  Called at retirement to bound memory. */
-    void commitTo(Mark m);
+    void
+    commitTo(Mark m)
+    {
+        wisc_assert(m <= top_, "bad commit mark");
+        if (m > base_)
+            base_ = m;
+    }
 
-    std::size_t size() const { return entries_.size(); }
+    /** Drop every entry without undoing it (a new run starts). Marks
+     *  keep counting from where they were. */
+    void clear() { base_ = top_; }
+
+    /** Live (recorded, uncommitted, not rolled back) entries. */
+    std::size_t size() const { return static_cast<std::size_t>(top_ - base_); }
+    /** Ring slots currently allocated (a power of two, or 0). */
+    std::size_t capacity() const { return ring_.size(); }
 
   private:
     enum class Kind : std::uint8_t { Reg, Pred, Mem };
@@ -151,8 +219,26 @@ class UndoLog
         UWord old;
     };
 
-    std::deque<Entry> entries_;
-    Mark base_ = 0; ///< absolute index of entries_.front()
+    void
+    push(Kind k, std::uint8_t idxOrSize, Addr a, UWord old)
+    {
+        if (top_ - base_ == ring_.size())
+            grow();
+        ring_[static_cast<std::size_t>(top_) & mask_] = {k, idxOrSize, a,
+                                                          old};
+        ++top_;
+    }
+
+    /** Double the ring (first use: kInitialCapacity), keeping every
+     *  live entry at its absolute position. */
+    void grow();
+
+    static constexpr std::size_t kInitialCapacity = 256;
+
+    std::vector<Entry> ring_;
+    std::size_t mask_ = 0; ///< ring_.size() - 1 once allocated
+    Mark base_ = 0;        ///< absolute index of the oldest live entry
+    Mark top_ = 0;         ///< absolute index one past the newest
 };
 
 } // namespace wisc

@@ -1,19 +1,30 @@
 /**
  * @file
- * Fixed-capacity ring buffer used for the cycle-level core's ROB and
- * fetch queue. Unlike std::deque, slots are allocated exactly once per
- * run (reset()) and elements are constructed in place with
- * emplace_back(), so the per-µop hot path never touches the allocator
- * and never moves elements between chunks.
+ * Fixed-capacity containers for the cycle-level core's in-flight µops.
  *
- * Indexing is logical: operator[](0) is the oldest element (front),
- * operator[](size()-1) the youngest (back).
+ * RingBuffer is a FIFO/LIFO ring whose slots are allocated exactly once
+ * per run (reset()), so pushing and popping never touch the allocator.
+ * The core keeps its ROB and fetch queue as rings of 32-bit SlotPool ids.
+ *
+ * SlotPool is a fixed set of T slots addressed by 32-bit ids plus a
+ * LIFO free list. acquire() reinitializes a free slot in place (placement
+ * new, no temporary) and returns its id; release() hands it back.
+ * Several rings can share one pool, so moving a µop from one queue to
+ * the next moves a 4-byte id instead of the record, and the most
+ * recently freed slot (still hot in the cache) is the next one handed
+ * out.
+ *
+ * Indexing into a RingBuffer is logical: operator[](0) is the oldest
+ * element (front), operator[](size()-1) the youngest (back).
  */
 
 #ifndef WISC_COMMON_RING_HH_
 #define WISC_COMMON_RING_HH_
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <new>
 #include <vector>
 
 #include "common/log.hh"
@@ -39,15 +50,12 @@ class RingBuffer
     std::size_t capacity() const { return slots_.size(); }
     bool empty() const { return count_ == 0; }
 
-    /** Reinitialize the slot past the back to T{} and return it. */
-    T &
-    emplace_back()
+    void
+    push_back(const T &v)
     {
         wisc_assert(count_ < slots_.size(), "ring buffer overflow");
-        T &slot = slots_[wrap(head_ + count_)];
-        slot = T{};
+        slots_[wrap(head_ + count_)] = v;
         ++count_;
-        return slot;
     }
 
     T &front() { return slots_[head_]; }
@@ -95,6 +103,80 @@ class RingBuffer
     std::vector<T> slots_;
     std::size_t head_ = 0;
     std::size_t count_ = 0;
+};
+
+template <typename T>
+class SlotPool
+{
+  public:
+    using Id = std::uint32_t;
+
+    /** Allocate exactly 'capacity' slots, all free. Called once per
+     *  simulation run. */
+    void
+    reset(std::size_t capacity)
+    {
+        wisc_assert(capacity > 0, "slot pool needs a capacity");
+        wisc_assert(capacity <= std::numeric_limits<Id>::max(),
+                    "slot pool capacity ", capacity, " exceeds 32-bit ids");
+        slots_.assign(capacity, T{});
+        free_.resize(capacity);
+        // Hand out id 0 first.
+        for (std::size_t i = 0; i < capacity; ++i)
+            free_[i] = static_cast<Id>(capacity - 1 - i);
+        nfree_ = capacity;
+    }
+
+    std::size_t capacity() const { return slots_.size(); }
+    /** Slots not currently held by anyone. */
+    std::size_t available() const { return nfree_; }
+
+    /** Take a free slot, reinitialized in place to T(). */
+    Id
+    acquire()
+    {
+        const Id id = take();
+        T *slot = &slots_[id];
+        slot->~T();
+        ::new (static_cast<void *>(slot)) T();
+        return id;
+    }
+
+    /** Take a free slot holding a copy of slot 'src'. */
+    Id
+    acquireCopy(Id src)
+    {
+        const Id id = take();
+        slots_[id] = slots_[src];
+        return id;
+    }
+
+    /** Return a slot taken by acquire()/acquireCopy(). */
+    void
+    release(Id id)
+    {
+        wisc_assert(id < slots_.size() && nfree_ < slots_.size(),
+                    "slot pool release overflows the pool");
+        free_[nfree_++] = id;
+    }
+
+    T &operator[](Id id) { return slots_[id]; }
+    const T &operator[](Id id) const { return slots_[id]; }
+
+  private:
+    Id
+    take()
+    {
+        wisc_assert(nfree_ > 0, "slot pool exhausted (", slots_.size(),
+                    " slots)");
+        return free_[--nfree_];
+    }
+
+    std::vector<T> slots_;
+    /** Free ids in free_[0, nfree_), most recently released last; sized
+     *  once by reset(), so release() never reallocates. */
+    std::vector<Id> free_;
+    std::size_t nfree_ = 0;
 };
 
 } // namespace wisc

@@ -33,10 +33,24 @@ lastWord(Addr addr, unsigned size)
     return (addr + size - 1) >> 3;
 }
 
+/** Reject a machine with no room for a single µop before anything is
+ *  sized from it; each check names the offending field. */
+const SimParams &
+requireCapacities(const SimParams &params)
+{
+    if (params.robSize == 0)
+        wisc_fatal("SimParams.robSize must be at least 1 (got 0)");
+    if (params.iqSize == 0)
+        wisc_fatal("SimParams.iqSize must be at least 1 (got 0)");
+    if (params.fetchWidth == 0)
+        wisc_fatal("SimParams.fetchWidth must be at least 1 (got 0)");
+    return params;
+}
+
 } // namespace
 
 Core::Core(const SimParams &params, StatSet &stats)
-    : params_(params),
+    : params_(requireCapacities(params)),
       stats_(stats),
       memsys_(params, stats),
       bpred_(makeBranchPredictor(params, stats)),
@@ -203,7 +217,7 @@ Core::emitCycle()
     // limited the cycle. Retirement runs first in the cycle, so the
     // blocking µop is still rob_.front() here.
     if (retireStalledOnHead_ && !rob_.empty()) {
-        const DynInst &h = rob_.front();
+        const DynInst &h = robHead();
         const bool isLoad =
             h.isLoadOp() && !h.memSkipped && h.selectPart != 2;
         // The head's producers have all completed (they are older and
@@ -238,12 +252,14 @@ Core::updateConfidence(std::uint32_t pc, std::uint64_t hist, bool correct)
 DynInst *
 Core::findInst(SeqNum seq)
 {
-    if (rob_.empty() || seq == 0)
+    if (seq == 0)
         return nullptr;
-    SeqNum base = rob_.front().seq;
-    if (seq < base || seq >= base + rob_.size())
+    // The ROB's seqs are dense and end at nextSeq_ - 1, so the offset
+    // needs no slot access; seq < base wraps to a huge offset.
+    const SeqNum off = seq - (nextSeq_ - rob_.size());
+    if (off >= rob_.size())
         return nullptr;
-    return &rob_[static_cast<std::size_t>(seq - base)];
+    return &rob(static_cast<std::size_t>(off));
 }
 
 const DynInst *
@@ -622,7 +638,10 @@ Core::fetchOne(std::uint32_t idx)
 {
     wish_.onInstructionFetched(idx);
 
-    DynInst &di = fetchQueue_.emplace_back();
+    // Built once, in its pool slot; rename later moves only the id.
+    const SlotId id = slots_.acquire();
+    fetchQueue_.push_back(id);
+    DynInst &di = slots_[id];
     di.pc = idx;
     di.uid = nextUid_++;
     di.fetchCycle = now_;
@@ -731,15 +750,15 @@ Core::dynEndRegion()
     const bool success = dynRealPc_ == dynRegionEnd_;
     DynInst *t = nullptr;
     for (std::size_t i = rob_.size(); i-- > 0;) {
-        if (rob_[i].uid == dynOutstandingUid_) {
-            t = &rob_[i];
+        if (rob(i).uid == dynOutstandingUid_) {
+            t = &rob(i);
             break;
         }
     }
     if (!t)
         for (std::size_t i = 0; i < fetchQueue_.size(); ++i)
-            if (fetchQueue_[i].uid == dynOutstandingUid_) {
-                t = &fetchQueue_[i];
+            if (fq(i).uid == dynOutstandingUid_) {
+                t = &fq(i);
                 break;
             }
     wisc_assert(t, "dynamic-predication trigger vanished mid-region");
@@ -930,7 +949,7 @@ Core::stageFetch()
 
         ++processed;
         fetchOne(idx);
-        const DynInst &di = fetchQueue_.back();
+        const DynInst &di = slots_[fetchQueue_.back()];
 
         // NO-FETCH oracle: predicated-FALSE µops cost no bandwidth and
         // are dropped from the pipe entirely (except unconditional
@@ -939,6 +958,7 @@ Core::stageFetch()
                      !di.isCtrl() &&
                      !(di.inst->unc && di.writesPred());
         if (elide) {
+            slots_.release(fetchQueue_.back());
             fetchQueue_.pop_back();
             continue;
         }
@@ -963,7 +983,8 @@ Core::stageRename()
     renameBlocked_ = false;
     unsigned renamed = 0;
     while (renamed < params_.decodeWidth && !fetchQueue_.empty()) {
-        DynInst &front = fetchQueue_.front();
+        const SlotId frontId = fetchQueue_.front();
+        DynInst &front = slots_[frontId];
         if (front.renameReady > now_)
             break;
 
@@ -981,11 +1002,14 @@ Core::stageRename()
             break;
         }
 
+        fetchQueue_.pop_front();
         if (expand) {
             // Compute half: executes the operation unconditionally into
-            // a temporary; carries the memory access.
-            DynInst &a = rob_.emplace_back();
-            a = front;
+            // a temporary; carries the memory access. It takes a fresh
+            // slot copied from the still-unmodified fetched µop.
+            const SlotId aId = slots_.acquireCopy(frontId);
+            rob_.push_back(aId);
+            DynInst &a = slots_[aId];
             a.seq = nextSeq_++;
             a.selectPart = 1;
             if (a.isStoreOp() && !a.memSkipped) {
@@ -999,10 +1023,10 @@ Core::stageRename()
             scheduleOrReady(a);
 
             // Select half: picks new vs old value once the predicate
-            // resolves; owns the architectural effects.
-            DynInst &b = rob_.emplace_back();
-            b = front;
-            fetchQueue_.pop_front();
+            // resolves; owns the architectural effects. It is the
+            // fetched µop's own slot, handed over.
+            rob_.push_back(frontId);
+            DynInst &b = front;
             b.seq = nextSeq_++;
             b.uid = nextUid_++; // the select half is a distinct µop
             b.selectPart = 2;
@@ -1020,9 +1044,8 @@ Core::stageRename()
             continue;
         }
 
-        DynInst &di = rob_.emplace_back();
-        di = front;
-        fetchQueue_.pop_front();
+        rob_.push_back(frontId);
+        DynInst &di = front;
         di.seq = nextSeq_++;
         // Region µops rename strictly after their trigger (in order),
         // so the trigger's seq is known by the time they need it.
@@ -1161,7 +1184,7 @@ Core::stageIssuePoll()
     unsigned memPorts = 0;
     const std::size_t n = rob_.size();
     for (std::size_t i = 0; i < n && issued < params_.issueWidth; ++i) {
-        DynInst &di = rob_[i];
+        DynInst &di = rob(i);
         if (!di.inIQ || di.issued)
             continue;
         const bool ready = depsReady(di);
@@ -1309,15 +1332,17 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
         emitFlush(branch, cause);
 
     // Everything in the fetch queue is younger than anything renamed.
-    if (nsinks_)
-        for (std::size_t i = 0; i < fetchQueue_.size(); ++i)
-            emitSquash(fetchQueue_[i]);
+    for (std::size_t i = 0; i < fetchQueue_.size(); ++i) {
+        if (nsinks_)
+            emitSquash(fq(i));
+        slots_.release(fetchQueue_[i]);
+    }
     fetchQueue_.clear();
 
     // Squash renamed µops younger than the branch, restoring the rename
     // producer chains newest-first and repairing the wakeup chains.
-    while (!rob_.empty() && rob_.back().seq > branch.seq) {
-        DynInst &di = rob_.back();
+    while (!rob_.empty() && slots_[rob_.back()].seq > branch.seq) {
+        DynInst &di = slots_[rob_.back()];
         if (nsinks_)
             emitSquash(di);
         unlinkWaiter(di);
@@ -1334,6 +1359,10 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
             if (di.claimedPred[s] != kPredNone)
                 predProducer_[di.claimedPred[s]] =
                     di.prevPredProducer[s];
+        // Seqs are reissued from here; keeping nextSeq_ one past the
+        // back keeps findInst()'s base right for the next iteration.
+        nextSeq_ = di.seq;
+        slots_.release(rob_.back());
         rob_.pop_back();
         ++squashed;
     }
@@ -1355,7 +1384,7 @@ Core::flushAfter(const DynInst &branch, std::uint32_t redirectPc,
     // findInst()'s O(1) contract: seq numbers stay dense base..base+size
     // across partial flushes (debug builds only; the walk is O(window)).
     for (std::size_t i = 0; i < rob_.size(); ++i)
-        wisc_assert(rob_[i].seq == rob_.front().seq + i,
+        wisc_assert(rob(i).seq == nextSeq_ - rob_.size() + i,
                     "ROB seq density violated after flush at index ", i);
 #endif
 
@@ -1397,7 +1426,7 @@ Core::stageRetire()
     unsigned retired = 0;
     retireStalledOnHead_ = false;
     while (retired < params_.retireWidth && !rob_.empty()) {
-        DynInst &di = rob_.front();
+        DynInst &di = robHead();
         if (!di.completed || di.completeCycle > now_) {
             retireStalledOnHead_ = true;
             break;
@@ -1458,6 +1487,7 @@ Core::stageRetire()
             emitRetire(di);
 
         bool halt = di.step.halted;
+        slots_.release(rob_.front());
         rob_.pop_front();
         ++retired;
         if (halt) {
@@ -1529,6 +1559,25 @@ Core::run(const Program &prog)
 void
 Core::beginRun(const Program &prog)
 {
+    // A fresh core's constructor built every warm structure cold; a
+    // reused one still holds its previous run's caches, predictor
+    // tables and wish-engine state, so rebuild them cold.
+    if (used_) {
+        memsys_.reset();
+        bpred_ = makeBranchPredictor(params_, stats_);
+        conf_ = makeConfidenceEstimator(params_, stats_, *bpred_);
+        btb_.reset();
+        ras_ = ReturnAddressStack(params_.rasEntries);
+        itc_ = IndirectTargetCache(params_.indirectEntries,
+                                   params_.indirectHistBits, stats_);
+        wish_.reset();
+    }
+    beginRunCommon(prog);
+}
+
+void
+Core::beginRunCommon(const Program &prog)
+{
     prog.validate();
     prog_ = &prog;
     code_ = prog.codeData();
@@ -1562,6 +1611,12 @@ Core::beginRun(const Program &prog)
     retiredUops_ = 0;
     nextSeq_ = 1;
     nextUid_ = 1;
+    undo_.clear();
+    // Every in-flight µop is in the fetch queue or the ROB, never both,
+    // so their capacities bound the slots in use (a select-µop
+    // expansion takes its extra slot only while the ROB has room for
+    // two).
+    slots_.reset(params_.robSize + fetchQueueCap_);
     fetchQueue_.reset(fetchQueueCap_);
     rob_.reset(params_.robSize);
     iqCount_ = 0;
@@ -1581,6 +1636,7 @@ Core::beginRun(const Program &prog)
     dynOutstandingUid_ = 0;
     dynTriggerSeq_ = 0;
     merge_.reset();
+    used_ = true;
 
     // Warm the instruction image: our kernels fit comfortably in the
     // 64 KB L1I, so a cold-start I-cache would only add noise.
@@ -1602,7 +1658,9 @@ Core::beginRun(const Program &prog)
 void
 Core::beginRun(const Program &prog, const CoreCheckpoint &ckpt)
 {
-    beginRun(prog);
+    // The restore below overwrites every warm structure, so the cold
+    // rebuild of the plain beginRun() is skipped.
+    beginRunCommon(prog);
 
     wisc_assert(ckpt.paramsFingerprint == params_.fingerprint(),
                 "checkpoint was taken under a different machine "

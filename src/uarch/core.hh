@@ -24,9 +24,19 @@
  * whose remaining producers are all complete move to a ready list that
  * issue drains oldest-first. The poll-based issue loop is retained
  * behind SimParams::pollScheduler purely as a verification reference.
- * µops live in fixed ring buffers, reference the immutable Program
- * image by pointer, and carry a bounded inline dependence array — the
- * per-cycle hot path performs no heap allocation.
+ *
+ * µop storage (DESIGN.md, "Copy-free µop lifecycle"): every in-flight
+ * DynInst lives in one SlotPool sized robSize + fetch-queue capacity at
+ * beginRun(). Fetch builds each µop once, in place, in a slot taken from
+ * the pool; the fetch queue and the ROB are rings of 32-bit slot ids, so
+ * rename hands the id over instead of copying the 360-byte record (the
+ * select-µop expansion is the one copy: its compute half takes a second
+ * slot copied from the fetched µop). Retire, squash and fetch-queue
+ * clears return ids to the pool. A DynInst references the immutable
+ * Program image by pointer and carries a bounded inline dependence
+ * array; the undo log is a ring that stops growing once it covers the
+ * in-flight window. In steady state the per-cycle hot path therefore
+ * performs no heap allocation and no whole-record copy.
  */
 
 #ifndef WISC_UARCH_CORE_HH_
@@ -73,8 +83,8 @@ enum class LoopOutcome : std::uint8_t
  *  array pow2-sized. Exceeding it is a hard error (wisc_assert). */
 inline constexpr unsigned kMaxDeps = 8;
 
-/** One in-flight µop. Flat (no heap-owning members): ring-buffer slots
- *  are reused in place and DynInst moves are plain field copies. */
+/** One in-flight µop. Flat (no heap-owning members), so a pool slot is
+ *  reinitialized in place with no destructor work. */
 struct DynInst
 {
     SeqNum seq = 0;
@@ -205,6 +215,8 @@ struct SimResult
 class Core
 {
   public:
+    /** FatalError, naming the field, if robSize, iqSize or fetchWidth is
+     *  zero: the µop storage is sized from them. */
     Core(const SimParams &params, StatSet &stats);
 
     /** Run the program to completion (Halt retired) or a safety limit.
@@ -223,9 +235,12 @@ class Core
     //   checkpoint(out);           // optional, at a drained boundary
     //   SimResult r = finishRun(); // publish attribution, final checks
 
-    /** Predecode the program, reset every piece of machine state, warm
-     *  the text image, and attach the attribution engine if the params
-     *  ask for one. Pair with finishRun(). */
+    /** Predecode the program, reset every piece of machine state
+     *  (architectural registers and memory, pipeline, caches, direction
+     *  predictor, BTB, RAS, ITC, confidence estimator, wish engine,
+     *  merge table), warm the text image, and attach the attribution
+     *  engine if the params ask for one. A reused Core therefore runs
+     *  exactly like a fresh one. Pair with finishRun(). */
     void beginRun(const Program &prog);
 
     /** As above, then restore the warm state in 'ckpt' (produced by
@@ -272,6 +287,15 @@ class Core
     /** Detach every sink. */
     void clearSinks() { nsinks_ = 0; }
 
+    // µop slot accounting (valid between beginRun and finishRun). Every
+    // pool slot is either free or held by exactly one queue entry, so
+    // freeSlots() + robOccupancy() + fetchQueueOccupancy() ==
+    // slotCapacity() at every cycle boundary.
+    std::size_t slotCapacity() const { return slots_.capacity(); }
+    std::size_t freeSlots() const { return slots_.available(); }
+    std::size_t robOccupancy() const { return rob_.size(); }
+    std::size_t fetchQueueOccupancy() const { return fetchQueue_.size(); }
+
   private:
     // Pipeline stages (called once per cycle, back to front).
     void stageRetire();
@@ -280,6 +304,11 @@ class Core
     void stageIssuePoll(); ///< reference scheduler (pollScheduler knob)
     void stageRename();
     void stageFetch();
+
+    /** Everything beginRun() resets except the cold rebuild of the
+     *  caches, predictors and wish engine: predecode, architectural
+     *  state, pipeline and µop storage, text warming, attribution. */
+    void beginRunCommon(const Program &prog);
 
     // Helpers.
     void fetchOne(std::uint32_t idx);
@@ -378,12 +407,21 @@ class Core
     /** Draining toward a checkpoint boundary: fetch is frozen so the
      *  in-flight window retires and the pipeline empties. */
     bool fetchFrozen_ = false;
-    RingBuffer<DynInst> fetchQueue_;
+
+    // µop storage: the fetch queue and the ROB hold ids into slots_.
+    using SlotId = SlotPool<DynInst>::Id;
+    SlotPool<DynInst> slots_;
+    RingBuffer<SlotId> fetchQueue_;
     unsigned fetchQueueCap_ = 0;
 
+    DynInst &fq(std::size_t i) { return slots_[fetchQueue_[i]]; }
+    DynInst &rob(std::size_t i) { return slots_[rob_[i]]; }
+    DynInst &robHead() { return slots_[rob_.front()]; }
+
     // Back end. rob_ holds renamed in-flight µops in order; seq numbers
-    // are dense (rob_[i].seq == rob_.front().seq + i).
-    RingBuffer<DynInst> rob_;
+    // are dense and end just below nextSeq_ (rob(i).seq ==
+    // nextSeq_ - rob_.size() + i).
+    RingBuffer<SlotId> rob_;
     SeqNum nextSeq_ = 1;
     std::uint64_t nextUid_ = 1;
     /** Scheduler occupancy (µops renamed but not yet completed); the
@@ -432,6 +470,10 @@ class Core
 
     Cycle now_ = 0;
     bool haltRetired_ = false;
+    /** A run has begun on this core: its warm structures (caches,
+     *  predictors, wish engine) hold that run's state and must be
+     *  rebuilt cold before the next plain beginRun(). */
+    bool used_ = false;
     /** Attribution engine for the current run (beginRun..finishRun),
      *  attached as one more probe sink when the params opt in. */
     std::optional<AttributionEngine> attrib_;
