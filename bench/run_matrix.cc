@@ -25,9 +25,6 @@
  * a,b,c` selects experiments by name.
  */
 
-#include <unistd.h>
-
-#include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -37,7 +34,6 @@
 #include "common/log.hh"
 #include "harness/bench_cli.hh"
 #include "harness/bench_registry.hh"
-#include "serve/client.hh"
 
 using namespace wisc;
 
@@ -86,7 +82,6 @@ usage(int code)
     std::cout <<
         "usage: run_matrix [--smoke] [--only NAME[,NAME...]] [--list]\n"
         "                  [--json PATH] [--cache DIR | --no-cache]\n"
-        "                  [--serve ADDR] [--shard I/N]\n"
         "\n"
         "Runs the full figure/table/ablation matrix in one process with\n"
         "a shared simulation-result cache, so identical runs across\n"
@@ -98,15 +93,7 @@ usage(int code)
         "  --json PATH   write one consolidated JSON document\n"
         "  --cache DIR   persistent run cache (WISC_CACHE_DIR fallback);\n"
         "                a second run replays the matrix from disk\n"
-        "  --no-cache    ignore WISC_CACHE_DIR / compiled-in default\n"
-        "  --serve ADDR  client mode: execute every simulation on the\n"
-        "                wisc-serve daemon at unix socket ADDR; `auto`\n"
-        "                spawns a private daemon and tears it down at\n"
-        "                exit. Identical requests from concurrent\n"
-        "                clients coalesce daemon-side.\n"
-        "  --shard I/N   run only every Nth experiment starting at the\n"
-        "                Ith (1-based); combine with --serve to split\n"
-        "                the matrix across client processes\n";
+        "  --no-cache    ignore WISC_CACHE_DIR / compiled-in default\n";
     return code;
 }
 
@@ -129,8 +116,6 @@ main(int argc, char **argv)
 {
     bool smoke = false;
     std::vector<std::string> only;
-    std::string serveAddr;
-    unsigned shardIndex = 1, shardCount = 1;
     std::vector<char *> passArgv = {argv[0]};
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -142,24 +127,6 @@ main(int argc, char **argv)
                 return 2;
             }
             only = splitCsv(argv[++i]);
-        } else if (a == "--serve") {
-            if (i + 1 >= argc) {
-                std::cerr << "run_matrix: --serve requires an address "
-                             "(socket path or `auto`)\n";
-                return 2;
-            }
-            serveAddr = argv[++i];
-        } else if (a == "--shard") {
-            if (i + 1 >= argc ||
-                std::sscanf(argv[i + 1], "%u/%u", &shardIndex,
-                            &shardCount) != 2 ||
-                shardCount == 0 || shardIndex == 0 ||
-                shardIndex > shardCount) {
-                std::cerr << "run_matrix: --shard wants I/N with "
-                             "1 <= I <= N\n";
-                return 2;
-            }
-            ++i;
         } else if (a == "--list") {
             for (const char *name : kMatrix)
                 std::cout << name << "\n";
@@ -198,40 +165,6 @@ main(int argc, char **argv)
         schedule.assign(std::begin(kMatrix), std::end(kMatrix));
     }
 
-    if (shardCount > 1) {
-        std::vector<std::string> mine;
-        for (std::size_t j = shardIndex - 1; j < schedule.size();
-             j += shardCount)
-            mine.push_back(schedule[j]);
-        schedule = std::move(mine);
-        std::cout << "shard " << shardIndex << "/" << shardCount << ": "
-                  << schedule.size() << " experiments\n";
-    }
-
-    // Client mode: every cacheable simulation executes on the daemon's
-    // shared pool/cache instead of locally. `auto` spawns a private
-    // daemon (the smoke test's spawn/teardown path); a socket path
-    // joins a daemon other shards share.
-    int servePid = -1;
-    std::string serveSocket = serveAddr;
-    try {
-        if (serveAddr == "auto") {
-            serveSocket =
-                "/tmp/wisc-serve-" + std::to_string(::getpid()) +
-                ".sock";
-            std::vector<std::string> extra;
-            if (cli.output().noCache)
-                extra = {"--cache", ""}; // override WISC_CACHE_DIR env
-            servePid = serve::spawnServeDaemon(
-                serveSocket, cli.output().cacheDir, extra);
-        }
-        if (!serveSocket.empty())
-            serve::installServeTransport(serveSocket);
-    } catch (const FatalError &e) {
-        std::cerr << "run_matrix: " << e.what() << "\n";
-        return 1;
-    }
-
     json::Value experiments = json::Value::array();
     json::Value wallByExperiment = json::Value::object();
     int firstFailure = 0;
@@ -263,24 +196,6 @@ main(int argc, char **argv)
     cli.add("smoke", json::Value(smoke));
     cli.add("experiments", std::move(experiments));
     cli.add("experiment_wall_seconds", std::move(wallByExperiment));
-
-    if (!serveSocket.empty()) try {
-        json::Value serveStats =
-            serve::ServeClient(serveSocket).stats();
-        std::cout << "serve: " << serveStats.at("completed").asUint()
-                  << " runs served, "
-                  << serveStats.at("coalesced").asUint()
-                  << " coalesced, cache hit rate "
-                  << Table::num(
-                         serveStats.at("cache_hit_rate").asDouble(), 2)
-                  << "\n";
-        cli.add("serve", std::move(serveStats));
-        if (servePid > 0)
-            serve::stopServeDaemon(servePid, serveSocket);
-    } catch (const FatalError &e) {
-        std::cerr << "run_matrix: " << e.what() << "\n";
-        return 1;
-    }
 
     int rc = cli.finish();
     return firstFailure ? firstFailure : rc;

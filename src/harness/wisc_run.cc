@@ -14,6 +14,8 @@
  * compiled kernel.
  */
 
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -85,6 +87,21 @@ parseInput(const std::string &v)
     wisc_fatal("unknown input set '", v, "'");
 }
 
+/** Strict decimal value of a numeric option: no sign, no whitespace,
+ *  no trailing junk, and nothing above 32 bits (FatalError naming the
+ *  option otherwise). */
+unsigned
+parseUnsigned(const std::string &option, const std::string &v)
+{
+    std::uint32_t out = 0;
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (v.empty() || ec != std::errc() || ptr != end)
+        wisc_fatal(option, " wants an unsigned 32-bit integer, got '", v,
+                   "'");
+    return out;
+}
+
 } // namespace
 
 int
@@ -101,6 +118,10 @@ main(int argc, char **argv)
         if (i + 1 >= argc)
             wisc_fatal("missing argument after ", argv[i]);
         return argv[++i];
+    };
+    auto nextUnsigned = [&](int &i) {
+        const std::string option = argv[i];
+        return parseUnsigned(option, next(i));
     };
 
     try {
@@ -119,13 +140,11 @@ main(int argc, char **argv)
             } else if (a == "--input") {
                 input = parseInput(next(i));
             } else if (a == "--rob") {
-                params.robSize =
-                    static_cast<unsigned>(std::stoul(next(i)));
+                params.robSize = nextUnsigned(i);
                 params.iqSize = params.robSize / 4;
                 params.lsqSize = params.robSize / 2;
             } else if (a == "--stages") {
-                params.pipelineStages =
-                    static_cast<unsigned>(std::stoul(next(i)));
+                params.pipelineStages = nextUnsigned(i);
             } else if (a == "--select-uop") {
                 params.predMech = PredMechanism::SelectUop;
             } else if (a == "--no-wish") {
@@ -158,7 +177,7 @@ main(int argc, char **argv)
             } else if (a == "--branch-profile") {
                 params.collectBranchProfile = true;
             } else if (a == "--pipeview") {
-                pipeview = std::stoul(next(i));
+                pipeview = nextUnsigned(i);
             } else if (a == "--listing") {
                 listing = true;
             } else if (a == "--dot") {
@@ -217,7 +236,9 @@ main(int argc, char **argv)
         if (dumpStats)
             stats.dump(std::cout);
         return r.halted ? 0 : 1;
-    } catch (const wisc::FatalError &e) {
+    } catch (const std::exception &e) {
+        // FatalError for bad input; anything else (e.g. bad_alloc for a
+        // machine too large to build) still exits cleanly.
         std::cerr << "error: " << e.what() << "\n";
         return 1;
     }

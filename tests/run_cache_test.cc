@@ -3,14 +3,20 @@
  * Tests for the run-memoization subsystem (ctest label: cache):
  * fingerprint stability and sensitivity, in-process dedup semantics,
  * persistent round-trips that are bit-identical to fresh simulations,
- * and corruption fallback (truncation, bit flips, version skew).
+ * corruption fallback (truncation, bit flips, version skew), and
+ * several processes sharing one cache directory.
  *
  * The concurrency hammer lives in run_cache_concurrency_test.cc inside
  * the tsan-labeled wisc_parallel_tests binary.
+ *
+ * This binary has a custom main: re-exec'd with --cache-share-child it
+ * becomes one of the processes of the shared-directory test (fork+exec,
+ * because fork alone is unsafe in a threaded gtest process).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -18,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "common/hash.hh"
@@ -539,5 +546,121 @@ TEST(RunCacheDiskTest, NormalizedExperimentIsBitIdenticalWarmVsCold)
     EXPECT_EQ(cold.relTime, warm.relTime);
 }
 
+// ---- several processes, one cache directory ---------------------------
+
+/** The request set every sharing process runs: distinct real workload
+ *  programs, identical across processes so their requests collide. */
+std::vector<Program>
+sharedPrograms()
+{
+    CompiledWorkload w = compileWorkload("mcf");
+    return {programFor(w, BinaryVariant::Normal, InputSet::A),
+            programFor(w, BinaryVariant::WishJumpJoin, InputSet::A),
+            programFor(w, BinaryVariant::Normal, InputSet::C)};
+}
+
+/** Digest of everything the outcomes carry, taken over their cache
+ *  encoding (the one RunOutcome interchange format). */
+std::uint64_t
+outcomesDigest(const std::vector<Program> &progs,
+               const std::vector<RunOutcome> &outs)
+{
+    Hasher h;
+    for (std::size_t i = 0; i < progs.size(); ++i)
+        h.str(encodeRunOutcome(
+            {progs[i].fingerprint(), SimParams{}.fingerprint()}, outs[i]));
+    return h.digest();
+}
+
+/** One sharing process: run the set through a RunService rooted at
+ *  cacheDir, starting at program `first` so that some processes read
+ *  entries while others write them, and write "<digest> <corrupt>" to
+ *  outFile. */
+int
+cacheShareChildMain(const std::string &cacheDir, std::size_t first,
+                    const std::string &outFile)
+{
+    try {
+        RunService svc(cacheDir);
+        const std::vector<Program> progs = sharedPrograms();
+        std::vector<RunOutcome> outs(progs.size());
+        for (std::size_t i = 0; i < progs.size(); ++i) {
+            const std::size_t j = (first + i) % progs.size();
+            outs[j] = svc.run(progs[j], SimParams{});
+        }
+        std::ofstream out(outFile);
+        out << outcomesDigest(progs, outs) << " " << svc.stats().corrupt
+            << "\n";
+        return out ? 0 : 3;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "cache-share child failed: %s\n", e.what());
+        return 4;
+    }
+}
+
+/** Entries are published by atomic rename, so processes that share a
+ *  cache directory never see each other's partial writes. */
+TEST(RunCacheDiskTest, ForkedProcessesShareOneCacheBitIdentically)
+{
+    TempDir cache;
+    TempDir outDir;
+    constexpr int kChildren = 4;
+    std::vector<pid_t> pids;
+    std::vector<std::string> outFiles;
+    for (int i = 0; i < kChildren; ++i) {
+        outFiles.push_back(outDir.path() + "/child" + std::to_string(i));
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::execl("/proc/self/exe", "wisc_cache_tests",
+                    "--cache-share-child", cache.path().c_str(),
+                    std::to_string(i).c_str(), outFiles.back().c_str(),
+                    (char *)nullptr);
+            _exit(127);
+        }
+        pids.push_back(pid);
+    }
+    for (pid_t pid : pids) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "child exited with status " << status;
+    }
+
+    // Every process saw exactly a local simulation's outcomes...
+    const std::vector<Program> progs = sharedPrograms();
+    std::vector<RunOutcome> fresh;
+    for (const Program &prog : progs)
+        fresh.push_back(captureRun(prog, SimParams{}));
+    const std::uint64_t local = outcomesDigest(progs, fresh);
+    for (const std::string &f : outFiles) {
+        std::ifstream in(f);
+        std::uint64_t digest = 0, corrupt = 0;
+        ASSERT_TRUE(in >> digest >> corrupt) << f;
+        EXPECT_EQ(digest, local) << f;
+        EXPECT_EQ(corrupt, 0u) << f;
+    }
+
+    // ...and the directory holds the three entries, no temp files.
+    std::size_t entries = 0;
+    for (const auto &e : fs::directory_iterator(cache.path())) {
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << e.path();
+        ++entries;
+    }
+    EXPECT_EQ(entries, 3u);
+}
+
 } // namespace
 } // namespace wisc
+
+int
+main(int argc, char **argv)
+{
+    if (argc == 5 && std::string(argv[1]) == "--cache-share-child")
+        return wisc::cacheShareChildMain(argv[2], std::stoul(argv[3]),
+                                         argv[4]);
+    ::testing::InitGoogleTest(&argc, argv);
+    return RUN_ALL_TESTS();
+}
