@@ -8,22 +8,19 @@
  * returns its cold-miss default almost always.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_confidence)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::ablation_confidence(BenchCli &cli, bool)
 {
     printBanner(std::cout, "Ablation: JRS confidence estimator design",
                 "wish-jjl execution time normalized to the normal binary "
@@ -82,5 +79,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

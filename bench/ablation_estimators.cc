@@ -8,21 +8,18 @@
  * a JRS streak counter.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(ablation_estimators)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::ablation_estimators(BenchCli &cli, bool)
 {
     printBanner(std::cout, "Extension: confidence estimator comparison",
                 "wish-jjl execution time normalized to the normal binary "
@@ -50,5 +47,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

@@ -10,22 +10,19 @@
  * -1%..+16%).
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig01_input_dependence)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig01_input_dependence(BenchCli &cli, bool)
 {
     printBanner(std::cout,
                 "Figure 1: predicated-code execution time vs. input set",
@@ -61,5 +58,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

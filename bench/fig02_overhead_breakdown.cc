@@ -13,21 +13,18 @@
  * prediction is better still (backward branches cannot be predicated).
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig02_overhead_breakdown)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig02_overhead_breakdown(BenchCli &cli, bool)
 {
     printBanner(std::cout,
                 "Figure 2: overhead sources of predicated execution",
@@ -59,5 +56,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

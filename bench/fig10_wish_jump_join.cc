@@ -5,21 +5,18 @@
  * a perfect one.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig10_wish_jump_join)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig10_wish_jump_join(BenchCli &cli, bool)
 {
     printBanner(std::cout, "Figure 10: wish jump/join binaries",
                 "execution time normalized to the normal-branch binary "
@@ -43,5 +40,3 @@ benchMain(BenchCli &cli)
     cli.addResults("results", r);
     return cli.finish();
 }
-
-} // namespace

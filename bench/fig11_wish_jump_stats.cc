@@ -8,22 +8,19 @@
  * real estimator's conservatism — the gap a better estimator closes).
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig11_wish_jump_stats)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig11_wish_jump_stats(BenchCli &cli, bool)
 {
     printBanner(std::cout,
                 "Figure 11: dynamic wish jumps/joins per 1M retired µops",
@@ -65,5 +62,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

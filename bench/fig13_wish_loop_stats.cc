@@ -7,22 +7,19 @@
  * the ones wish loops speed up.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig13_wish_loop_stats)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig13_wish_loop_stats(BenchCli &cli, bool)
 {
     printBanner(std::cout,
                 "Figure 13: dynamic wish loops per 1M retired µops",
@@ -61,5 +58,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

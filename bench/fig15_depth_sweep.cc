@@ -5,21 +5,18 @@
  * so wish branches gain more.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/experiments.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(fig15_depth_sweep)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::fig15_depth_sweep(BenchCli &cli, bool)
 {
     printBanner(std::cout, "Figure 15: pipeline depth sweep",
                 "AVG / AVGnomcf execution time normalized to the "
@@ -56,5 +53,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

@@ -2,15 +2,15 @@
  * @file
  * run_matrix: the whole evaluation in one process.
  *
- * Runs every figure/table/ablation experiment of the paper's matrix
- * back-to-back inside a single process, sharing one ParallelRunner pool
- * and one RunService. Because every experiment's simulations flow
- * through the same content-addressed run cache, the (Program,
- * SimParams) pairs the standalone binaries re-simulate over and over —
- * the normal-binary baseline alone is re-run by fig01/02/10/12/13,
- * table4/5, and every ablation — execute exactly once here, and with
- * `--cache DIR` a second invocation replays the entire matrix from
- * disk.
+ * The one driver of the paper's experiments (experiment_entries.hh):
+ * runs every figure/table/ablation experiment back-to-back inside a
+ * single process, sharing one ParallelRunner pool and one RunService.
+ * Because every experiment's simulations flow through the same
+ * content-addressed run cache, the (Program, SimParams) pairs that
+ * separate experiments share — the normal-binary baseline alone is
+ * used by fig01/02/10/12/13, table4/5, and every ablation — execute
+ * exactly once, and with `--cache DIR` a second invocation replays the
+ * entire matrix from disk.
  *
  * Output: each experiment prints its paper-style table to stdout as
  * usual, and `--json PATH` writes one consolidated document with every
@@ -21,59 +21,58 @@
  *     "experiment_wall_seconds": {name: t, ...},
  *     "cache_hits": H, "cache_misses": M, "dedup_hits": D }
  *
- * `--smoke` runs a reduced schedule as a ctest smoke target; `--only
- * a,b,c` selects experiments by name.
+ * `--smoke` runs a reduced schedule as a ctest smoke target (and hands
+ * each experiment its smoke flag); `--only a,b,c` selects experiments
+ * by name, so `--only NAME` runs one experiment on its own and its
+ * document is `experiments[0]`.
  */
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "common/log.hh"
+#include "experiment_entries.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 
 using namespace wisc;
 
 namespace {
 
-/** Every experiment, cheap structural checks first so a broken build
- *  fails fast. This is the schedule; the registry is the phone book. */
-const char *const kMatrix[] = {
-    "table3_binaries",
-    "table4_benchmarks",
-    "fig01_input_dependence",
-    "fig02_overhead_breakdown",
-    "fig02_attribution",
-    "fig10_wish_jump_join",
-    "fig11_wish_jump_stats",
-    "fig12_wish_loops",
-    "fig13_wish_loop_stats",
-    "fig14_window_sweep",
-    "fig15_depth_sweep",
-    "fig16_select_uop",
-    "table5_best_binary",
-    "ablation_confidence",
-    "ablation_estimators",
-    "ablation_heuristics",
-    "ablation_loop_bias",
-    "predictor_sweep",
-    "dynpred_sweep",
-    "sampling_validation",
+/** One experiment of the schedule. */
+struct Experiment
+{
+    const char *name;
+    int (*fn)(BenchCli &cli, bool smoke);
+    bool inSmoke; ///< part of the reduced --smoke schedule
 };
 
-/** Reduced schedule for CI: exercises the registry, the shared pool,
+/** The schedule: every experiment, cheap structural checks first so a
+ *  broken build fails fast. The smoke subset exercises the shared pool
  *  and cross-experiment dedup (fig13's runs coalesce with fig11's
- *  baseline and table4's wish runs) in a few seconds. */
-const char *const kSmoke[] = {
-    "table3_binaries",
-    "fig11_wish_jump_stats",
-    "fig13_wish_loop_stats",
-    "predictor_sweep",
-    "dynpred_sweep",
-    "sampling_validation",
+ *  baseline) in a few seconds. */
+const Experiment kExperiments[] = {
+    {"table3_binaries", bench::table3_binaries, true},
+    {"table4_benchmarks", bench::table4_benchmarks, false},
+    {"fig01_input_dependence", bench::fig01_input_dependence, false},
+    {"fig02_overhead_breakdown", bench::fig02_overhead_breakdown, false},
+    {"fig02_attribution", bench::fig02_attribution, false},
+    {"fig10_wish_jump_join", bench::fig10_wish_jump_join, false},
+    {"fig11_wish_jump_stats", bench::fig11_wish_jump_stats, true},
+    {"fig12_wish_loops", bench::fig12_wish_loops, false},
+    {"fig13_wish_loop_stats", bench::fig13_wish_loop_stats, true},
+    {"fig14_window_sweep", bench::fig14_window_sweep, false},
+    {"fig15_depth_sweep", bench::fig15_depth_sweep, false},
+    {"fig16_select_uop", bench::fig16_select_uop, false},
+    {"table5_best_binary", bench::table5_best_binary, false},
+    {"ablation_confidence", bench::ablation_confidence, false},
+    {"ablation_estimators", bench::ablation_estimators, false},
+    {"ablation_heuristics", bench::ablation_heuristics, false},
+    {"ablation_loop_bias", bench::ablation_loop_bias, false},
+    {"predictor_sweep", bench::predictor_sweep, true},
+    {"dynpred_sweep", bench::dynpred_sweep, true},
+    {"sampling_validation", bench::sampling_validation, true},
 };
 
 int
@@ -127,9 +126,20 @@ main(int argc, char **argv)
                 return 2;
             }
             only = splitCsv(argv[++i]);
+            for (const std::string &name : only) {
+                if (std::none_of(std::begin(kExperiments),
+                                 std::end(kExperiments),
+                                 [&](const Experiment &e) {
+                                     return name == e.name;
+                                 })) {
+                    std::cerr << "run_matrix: unknown experiment '"
+                              << name << "' in --only (see --list)\n";
+                    return 2;
+                }
+            }
         } else if (a == "--list") {
-            for (const char *name : kMatrix)
-                std::cout << name << "\n";
+            for (const Experiment &e : kExperiments)
+                std::cout << e.name << "\n";
             return 0;
         } else if (a == "--help" || a == "-h") {
             return usage(0);
@@ -138,49 +148,31 @@ main(int argc, char **argv)
         }
     }
 
-    // Experiments with an internal smoke reduction (predictor_sweep)
-    // key off this; flags do not flow through the registry interface.
-    if (smoke)
-        setenv("WISC_SMOKE", "1", 1);
-
     // The top-level CLI owns the consolidated document, the matrix-wide
     // timer, and the cache configuration (--json/--cache/--no-cache).
     BenchCli cli(static_cast<int>(passArgv.size()), passArgv.data(),
                  "run_matrix");
 
-    std::vector<std::string> schedule;
-    if (!only.empty()) {
-        for (const char *name : kMatrix)
-            for (const std::string &o : only)
-                if (o == name)
-                    schedule.push_back(name);
-        if (schedule.size() != only.size()) {
-            std::cerr << "run_matrix: unknown experiment in --only "
-                         "(see --list)\n";
-            return 2;
-        }
-    } else if (smoke) {
-        schedule.assign(std::begin(kSmoke), std::end(kSmoke));
-    } else {
-        schedule.assign(std::begin(kMatrix), std::end(kMatrix));
+    std::vector<const Experiment *> schedule;
+    for (const Experiment &e : kExperiments) {
+        const bool picked = only.empty()
+            ? !smoke || e.inSmoke
+            : std::find(only.begin(), only.end(), e.name) != only.end();
+        if (picked)
+            schedule.push_back(&e);
     }
 
     json::Value experiments = json::Value::array();
     json::Value wallByExperiment = json::Value::object();
     int firstFailure = 0;
-    for (const std::string &name : schedule) {
-        BenchFn fn = findBench(name);
-        if (!fn)
-            wisc_fatal("experiment '", name,
-                       "' is not linked into run_matrix");
-
-        BenchCli sub(name); // embedded: document only, no file
-        int rc = fn(sub);
+    for (const Experiment *e : schedule) {
+        BenchCli sub(e->name); // embedded: document only, no file
+        int rc = e->fn(sub, smoke);
         if (rc != 0 && firstFailure == 0)
             firstFailure = rc;
 
         cli.noteSimulated(sub.simulatedUops(), sub.simulatedCycles());
-        wallByExperiment[name] = sub.elapsedSeconds();
+        wallByExperiment[e->name] = sub.elapsedSeconds();
         experiments.push(sub.document());
         std::cout << "\n";
     }

@@ -6,23 +6,20 @@
  * the wish jump/join/loop binary with the fraction of wish loops.
  */
 
+#include "experiment_entries.hh"
+
 #include <iostream>
 
 #include "arch/emulator.hh"
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(table4_benchmarks)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::table4_benchmarks(BenchCli &cli, bool)
 {
     printBanner(std::cout, "Table 4: simulated benchmarks",
                 "normal binary characteristics (input A) and wish "
@@ -90,5 +87,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

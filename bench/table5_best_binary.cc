@@ -8,23 +8,20 @@
  * know which binary wins at run time; Figure 1 shows why).
  */
 
+#include "experiment_entries.hh"
+
 #include <algorithm>
 #include <iostream>
 
 #include "harness/bench_cli.hh"
-#include "harness/bench_registry.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/runner.hh"
 #include "harness/table.hh"
 
 using namespace wisc;
 
-WISC_BENCH_ENTRY(table5_best_binary)
-
-namespace {
-
 int
-benchMain(BenchCli &cli)
+wisc::bench::table5_best_binary(BenchCli &cli, bool)
 {
     printBanner(std::cout,
                 "Table 5: wish jump/join/loop vs best per-benchmark "
@@ -92,5 +89,3 @@ benchMain(BenchCli &cli)
     cli.addTable("table", t);
     return cli.finish();
 }
-
-} // namespace

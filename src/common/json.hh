@@ -3,12 +3,11 @@
  * Small JSON document model used by the experiment harness to emit
  * machine-readable results (`--json` / WISC_RESULTS_JSON).
  *
- * Design goals, in order: (1) exact round-tripping of uint64 counters —
- * cycle and event counts must not pass through a double; (2) a
- * deterministic, insertion-ordered writer so emitted files diff cleanly
- * across runs; (3) a strict parser good enough for the regression tests
- * to round-trip what the writer produces. Not goals: speed on huge
- * documents, comments, or lenient parsing.
+ * Design goals, in order: (1) exact uint64 counters — cycle and event
+ * counts never pass through a double; (2) a deterministic,
+ * insertion-ordered writer so emitted files diff cleanly across runs.
+ * Write-only: nothing in the simulator reads JSON back (the run cache
+ * has its own binary format). Not a goal: speed on huge documents.
  */
 
 #ifndef WISC_COMMON_JSON_HH_
@@ -53,15 +52,7 @@ class Value
     static Value array() { Value v; v.kind_ = Kind::Array; return v; }
     static Value object() { Value v; v.kind_ = Kind::Object; return v; }
 
-    Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }
-    bool isNumber() const
-    {
-        return kind_ == Kind::Uint || kind_ == Kind::Int ||
-               kind_ == Kind::Double;
-    }
-    bool isArray() const { return kind_ == Kind::Array; }
-    bool isObject() const { return kind_ == Kind::Object; }
 
     // ---- scalar accessors (hard error on kind mismatch) ----
     bool asBool() const;
@@ -92,9 +83,6 @@ class Value
     /** Write the document; indent > 0 pretty-prints. */
     void write(std::ostream &os, int indent = 2) const;
     std::string dump(int indent = 2) const;
-
-    /** Strict parse; throws FatalError on malformed input. */
-    static Value parse(const std::string &text);
 
   private:
     void writeImpl(std::ostream &os, int indent, int depth) const;

@@ -1,22 +1,19 @@
 /**
  * @file
- * Shared command line for the bench/ experiment binaries.
+ * Shared command line for the bench/ binaries (run_matrix,
+ * micro_simspeed, wisc_fuzz).
  *
  * Every output-related option lives in one place — OutputSpec — parsed
- * from one flag table that also generates the --help text, so the
- * experiment binaries cannot drift apart:
+ * from one flag table that also generates the --help text:
  *
  *   --json PATH       structured results document (fallback: the
  *                     WISC_RESULTS_JSON environment variable)
  *   --cache DIR       persistent run cache (fallback: WISC_CACHE_DIR,
  *                     then the compiled-in -DWISC_CACHE_DEFAULT_DIR)
  *   --no-cache        disable the persistent layer entirely
- *   --cpi-stack       collect the attrib.* cycle-attribution CPI stack
- *   --branch-profile  collect the per-static-branch profile table
  *
- * Every bench binary prints its paper-style table to stdout exactly as
- * before; on top of that, a JSON destination writes a structured
- * document:
+ * Every experiment prints its paper-style table to stdout; on top of
+ * that, a JSON destination writes a structured document:
  *
  *   { "bench": name, "schema_version": 1, "jobs": N,
  *     "wall_seconds": t,
@@ -30,7 +27,9 @@
  *
  * Constructing a BenchCli also opts the process into the run cache:
  * in-process dedup always, and the persistent layer when a directory
- * is configured (`--no-cache` wins over everything).
+ * is configured (`--no-cache` wins over everything). This is the one
+ * place that resolves the cache directory; RunService::global() itself
+ * never reads the environment.
  *
  * A benchmark whose results flow through addResults() — or that calls
  * noteSimulated() itself — also gets "simulated_uops",
@@ -55,32 +54,19 @@ namespace wisc {
 
 /**
  * Everything the bench command line says about *outputs*: where the
- * JSON goes, how runs are cached, and which optional observability
- * sections to collect. Parsed in exactly one place (parse()), from the
- * same flag table that renders `--help`.
+ * JSON goes and how runs are cached. Parsed in exactly one place
+ * (parse()), from the same flag table that renders `--help`.
  */
 struct OutputSpec
 {
-    std::string jsonPath;  ///< --json / WISC_RESULTS_JSON ("" = none)
-    std::string cacheDir;  ///< --cache (before env/default resolution)
-    bool noCache = false;  ///< --no-cache: kill the persistent layer
-    bool cpiStack = false; ///< --cpi-stack: attrib.* CPI stack
-    bool branchProfile = false; ///< --branch-profile: per-PC table
+    std::string jsonPath; ///< --json / WISC_RESULTS_JSON ("" = none)
+    std::string cacheDir; ///< --cache (before env/default resolution)
+    bool noCache = false; ///< --no-cache: kill the persistent layer
 
     /** Parse argv (env fallbacks applied); prints usage and exits on
      *  --help or an unknown flag. */
     static OutputSpec parse(int argc, char **argv,
                             const std::string &name);
-
-    /** Turn the observability requests into SimParams knobs. */
-    void
-    applyObservation(SimParams &p) const
-    {
-        if (cpiStack)
-            p.collectAttribution = true;
-        if (branchProfile)
-            p.collectBranchProfile = true;
-    }
 };
 
 class BenchCli
@@ -97,12 +83,6 @@ class BenchCli
      * the orchestrator collects it via document().
      */
     explicit BenchCli(std::string name);
-
-    /** The parsed output configuration. */
-    const OutputSpec &output() const { return spec_; }
-
-    /** True when a --json/WISC_RESULTS_JSON destination is set. */
-    bool jsonRequested() const { return !spec_.jsonPath.empty(); }
 
     /** Attach a section to the emitted document. */
     void add(const std::string &key, json::Value v);

@@ -16,16 +16,17 @@
  *
  *  - Layer 2, persistent cache: an optional content-addressed on-disk
  *    store (`--cache DIR` on the bench binaries / WISC_CACHE_DIR /
- *    -DWISC_CACHE_DEFAULT_DIR) holding the *complete* RunOutcome —
+ *    -DWISC_CACHE_DEFAULT_DIR, resolved by BenchCli) holding the *complete* RunOutcome —
  *    SimResult, every counter, histogram, and table — in a versioned,
  *    checksummed binary format written via tmp+rename so readers never
  *    see a partial entry. Corrupt, truncated, or version-mismatched
  *    entries are rejected (warned once each, counted) and fall back to
  *    a fresh simulation that overwrites the bad entry.
  *
- * The global() instance backs run(RunRequest). It starts as
- * a pure pass-through (no memo, no disk) so unit tests exercise real
- * simulations unless they opt in; BenchCli opts every bench binary in.
+ * The global() instance backs run(RunRequest). It starts as a pure
+ * pass-through (no memo, no disk) and never reads the environment, so
+ * unit tests exercise real simulations unless they opt in, whatever
+ * WISC_CACHE_DIR says; BenchCli opts every bench binary in.
  */
 
 #ifndef WISC_HARNESS_RUN_CACHE_HH_
@@ -111,9 +112,8 @@ class RunService
     std::string entryPath(const RunKey &key) const;
 
     /** The process-wide service behind run(RunRequest).
-     *  Constructed on first use; picks up WISC_CACHE_DIR from the
-     *  environment (memoization stays off until something — normally
-     *  BenchCli — turns it on). */
+     *  Constructed on first use as a pass-through: no memo, no disk,
+     *  until something — normally BenchCli — turns them on. */
     static RunService &global();
 
   private:

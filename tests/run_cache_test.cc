@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -508,6 +509,39 @@ TEST(RunCacheDiskTest, VersionSkewIsRejectedNotMisread)
 }
 
 // ---- harness wiring ---------------------------------------------------
+
+/** The global service never takes a cache directory from the
+ *  environment (BenchCli resolves --cache / WISC_CACHE_DIR for the bench
+ *  binaries), so unit tests and the golden StatSet simulate instead of
+ *  replaying a user's disk cache. The run_service_global_ignores_cache_env
+ *  ctest runs this case with WISC_CACHE_DIR set. */
+TEST(RunServiceGlobalTest, IgnoresCacheDirEnvironment)
+{
+    RunService &svc = RunService::global();
+    EXPECT_EQ(svc.cacheDir(), "");
+
+    const char *env = std::getenv("WISC_CACHE_DIR");
+    auto filesInEnvDir = [&] {
+        std::size_t n = 0;
+        std::error_code ec;
+        if (env && fs::is_directory(env, ec))
+            for ([[maybe_unused]] const auto &e : fs::directory_iterator(env))
+                ++n;
+        return n;
+    };
+    const std::size_t filesBefore = filesInEnvDir();
+    const RunCacheStats before = svc.stats();
+
+    CompiledWorkload w = compileWorkload("gzip");
+    RunOutcome out = run(RunRequest(w, BinaryVariant::Normal, InputSet::A));
+    EXPECT_TRUE(out.result.halted);
+
+    const RunCacheStats after = svc.stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.diskHits - before.diskHits, 0u);
+    EXPECT_EQ(after.diskWrites - before.diskWrites, 0u);
+    EXPECT_EQ(filesInEnvDir(), filesBefore);
+}
 
 TEST(ExperimentGuardTest, EmptyBenchmarkListIsAHardError)
 {
